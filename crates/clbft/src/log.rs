@@ -107,7 +107,7 @@ impl Log {
                 batch
                     .requests
                     .iter()
-                    .find(|r| r.config)
+                    .find(|r| r.is_config())
                     .map(|r| (*seq, r.clone()))
             })
             .collect()
@@ -261,7 +261,7 @@ mod tests {
         let records = log.config_records_above(Seq(0));
         assert_eq!(records.len(), 1, "slot 2 only: 1/3 plain, 4 unexecuted");
         assert_eq!(records[0].0, Seq(2));
-        assert!(records[0].1.config);
+        assert!(records[0].1.is_config());
         assert!(log.config_records_above(Seq(2)).is_empty());
     }
 

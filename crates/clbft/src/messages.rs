@@ -5,6 +5,7 @@ use crate::pages::PageManifest;
 use crate::{ReplicaId, Seq, View};
 use bytes::Bytes;
 use pws_crypto::sha256::{Digest32, Sha256};
+use std::sync::OnceLock;
 
 /// Identifies a request uniquely across the group's lifetime.
 ///
@@ -33,58 +34,99 @@ impl std::fmt::Debug for RequestId {
 }
 
 /// An opaque operation to be totally ordered by the group.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// The fields are private so the memoized digest can never go stale: every
+/// way to change a built request goes through a setter that drops the
+/// cache. Cloning carries the cached digest along, so a request hashed once
+/// on a node stays hashed through queueing, batching and proposal.
+#[derive(Clone)]
 pub struct Request {
+    id: RequestId,
+    payload: Bytes,
+    read_only: bool,
+    config: bool,
+    /// [`Request::digest`], computed on first use.
+    digest: OnceLock<Digest32>,
+}
+
+impl Request {
+    fn with_flags(id: RequestId, payload: Bytes, read_only: bool, config: bool) -> Self {
+        Request {
+            id,
+            payload,
+            read_only,
+            config,
+            digest: OnceLock::new(),
+        }
+    }
+
+    /// Creates an (ordered) request.
+    pub fn new(id: RequestId, payload: Bytes) -> Self {
+        Request::with_flags(id, payload, false, false)
+    }
+
+    /// Creates a read-only request: answered from committed state, never
+    /// ordered.
+    pub fn read_only(id: RequestId, payload: Bytes) -> Self {
+        Request::with_flags(id, payload, true, false)
+    }
+
+    /// Creates an ordered configuration record: occupies a sequence slot
+    /// of its own, flushing any batch accumulating ahead of it.
+    pub fn config_record(id: RequestId, payload: Bytes) -> Self {
+        Request::with_flags(id, payload, false, true)
+    }
+
     /// Unique id (used for deduplication).
-    pub id: RequestId,
+    pub fn id(&self) -> RequestId {
+        self.id
+    }
+
     /// Opaque payload; the harness interprets it after `Execute`.
-    pub payload: Bytes,
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// Consumes the request, keeping only its payload.
+    pub fn into_payload(self) -> Bytes {
+        self.payload
+    }
+
     /// Read-only marker (the PBFT read optimization): the replica answers
     /// from committed state without consuming a sequence slot, and the
     /// client accepts only on `2f + 1` matching replies. A read-only
     /// request never enters the ordering path; if the client cannot gather
     /// its quorum it falls back by resubmitting with this flag cleared.
-    pub read_only: bool,
+    pub fn is_read_only(&self) -> bool {
+        self.read_only
+    }
+
     /// Configuration-record marker: the request carries a group-management
     /// record (transaction decision, reshard step, epoch flip) rather than
     /// ordinary application traffic. A config record is ordered like any
     /// request but always seals a sequence slot of its own — never batched
     /// with application requests — so the slot boundary itself marks the
     /// atomic configuration point in the log.
-    pub config: bool,
-}
-
-impl Request {
-    /// Creates an (ordered) request.
-    pub fn new(id: RequestId, payload: Bytes) -> Self {
-        Request {
-            id,
-            payload,
-            read_only: false,
-            config: false,
-        }
+    pub fn is_config(&self) -> bool {
+        self.config
     }
 
-    /// Creates a read-only request: answered from committed state, never
-    /// ordered.
-    pub fn read_only(id: RequestId, payload: Bytes) -> Self {
-        Request {
-            id,
-            payload,
-            read_only: true,
-            config: false,
-        }
+    /// Sets the read-only marker, dropping any cached digest.
+    pub fn set_read_only(&mut self, on: bool) {
+        self.read_only = on;
+        self.digest.take();
     }
 
-    /// Creates an ordered configuration record: occupies a sequence slot
-    /// of its own, flushing any batch accumulating ahead of it.
-    pub fn config_record(id: RequestId, payload: Bytes) -> Self {
-        Request {
-            id,
-            payload,
-            read_only: false,
-            config: true,
-        }
+    /// Sets the config-record marker, dropping any cached digest.
+    pub fn set_config(&mut self, on: bool) {
+        self.config = on;
+        self.digest.take();
+    }
+
+    /// Replaces the payload, dropping any cached digest.
+    pub fn set_payload(&mut self, payload: Bytes) {
+        self.payload = payload;
+        self.digest.take();
     }
 
     /// The combined flag byte (bit 0: read-only, bit 1: config) — the
@@ -95,17 +137,42 @@ impl Request {
 
     /// The canonical digest of this request. Covers the flag byte so a
     /// flipped read-only or config marker cannot ride an existing
-    /// authenticator.
+    /// authenticator. Computed once per request value and cached.
     pub fn digest(&self) -> Digest32 {
-        let mut h = Sha256::new();
-        h.update_u64(self.id.origin);
-        h.update_u64(self.id.counter);
-        h.update(&[self.flags()]);
-        h.update_u64(self.payload.len() as u64);
-        h.update(&self.payload);
-        h.finalize()
+        *self.digest.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update_u64(self.id.origin);
+            h.update_u64(self.id.counter);
+            h.update(&[self.flags()]);
+            h.update_u64(self.payload.len() as u64);
+            h.update(&self.payload);
+            h.finalize()
+        })
+    }
+
+    /// Adopts `twin`'s cached digest when `twin` is the same request (equal
+    /// id, flags and payload bytes), so a copy decoded off the wire skips
+    /// re-hashing content this node already hashed. A request that differs
+    /// in any byte keeps its own (lazily computed) digest.
+    pub fn adopt_digest(&self, twin: &Request) {
+        if let Some(d) = twin.digest.get() {
+            if self == twin {
+                let _ = self.digest.set(*d);
+            }
+        }
     }
 }
+
+/// Equality is over content only; the digest cache is ignored.
+impl PartialEq for Request {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.read_only == other.read_only
+            && self.config == other.config
+            && self.payload == other.payload
+    }
+}
+impl Eq for Request {}
 
 impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -459,15 +526,104 @@ mod tests {
         assert_ne!(d0, r3.digest());
         let ro = Request::read_only(RequestId::new(1, 2), Bytes::from_static(b"abc"));
         assert_ne!(d0, ro.digest(), "read-only flag is digest-covered");
-        assert!(ro.read_only);
-        assert!(!r.read_only);
+        assert!(ro.is_read_only());
+        assert!(!r.is_read_only());
         let cfg = Request::config_record(RequestId::new(1, 2), Bytes::from_static(b"abc"));
         assert_ne!(d0, cfg.digest(), "config flag is digest-covered");
         assert_ne!(ro.digest(), cfg.digest(), "flags occupy distinct bits");
-        assert!(cfg.config && !cfg.read_only);
+        assert!(cfg.is_config() && !cfg.is_read_only());
         assert_eq!(r.flags(), 0);
         assert_eq!(ro.flags(), 1);
         assert_eq!(cfg.flags(), 2);
+    }
+
+    /// The canonical request digest, recomputed from the fields with no
+    /// cache involved.
+    fn uncached(r: &Request) -> Digest32 {
+        let mut h = Sha256::new();
+        h.update_u64(r.id().origin);
+        h.update_u64(r.id().counter);
+        h.update(&[r.flags()]);
+        h.update_u64(r.payload().len() as u64);
+        h.update(r.payload());
+        h.finalize()
+    }
+
+    #[test]
+    fn cached_digest_never_goes_stale() {
+        let mut r = Request::new(RequestId::new(4, 5), Bytes::from_static(b"payload"));
+        assert_eq!(r.digest(), uncached(&r));
+        r.set_read_only(true);
+        assert_eq!(r.digest(), uncached(&r), "after a flag change");
+        r.set_config(true);
+        r.set_read_only(false);
+        assert_eq!(r.digest(), uncached(&r), "after flag changes");
+        assert_eq!(r.flags(), 2);
+
+        // A wire round trip decodes fresh requests whose flags are fixed
+        // up after construction.
+        for flags in 0..4u8 {
+            let mut sent = Request::new(
+                RequestId::new(9, u64::from(flags)),
+                Bytes::from_static(b"x"),
+            );
+            sent.set_read_only(flags & 1 != 0);
+            sent.set_config(flags & 2 != 0);
+            let sent_digest = sent.digest();
+            let wire = crate::wire::encode_msg(&Msg::Forward(sent));
+            let Ok(Msg::Forward(got)) = crate::wire::decode_msg(&wire) else {
+                panic!("forward round-trips");
+            };
+            assert_eq!(got.flags(), flags);
+            assert_eq!(got.digest(), uncached(&got), "after decode");
+            assert_eq!(got.digest(), sent_digest);
+        }
+
+        // The equivocation twist: clone a hashed batch and corrupt one
+        // member's payload. The clone carries the cached digests; the
+        // rewritten member must drop its own.
+        let honest = Batch::new(vec![
+            Request::new(RequestId::new(1, 1), Bytes::from_static(b"a")),
+            Request::new(RequestId::new(1, 2), Bytes::from_static(b"b")),
+        ]);
+        let honest_digest = honest.digest();
+        let mut twisted = honest.clone();
+        twisted.requests[0].set_payload(Bytes::from_static(b"\xc4"));
+        assert_eq!(twisted.requests[0].digest(), uncached(&twisted.requests[0]));
+        assert_ne!(twisted.digest(), honest_digest);
+        assert_eq!(honest.digest(), honest_digest, "the original is untouched");
+    }
+
+    #[test]
+    fn adopt_digest_only_from_an_identical_request() {
+        let mine = Request::new(RequestId::new(2, 3), Bytes::from_static(b"event"));
+        mine.digest();
+        let twin = Request::new(RequestId::new(2, 3), Bytes::from_static(b"event"));
+        twin.adopt_digest(&mine);
+        assert_eq!(twin.digest.get(), Some(&uncached(&twin)), "adopted");
+
+        let forged = Request::new(RequestId::new(2, 3), Bytes::from_static(b"evenT"));
+        forged.adopt_digest(&mine);
+        assert!(
+            forged.digest.get().is_none(),
+            "a different payload adopts nothing"
+        );
+        let flagged = Request::config_record(RequestId::new(2, 3), Bytes::from_static(b"event"));
+        flagged.adopt_digest(&mine);
+        assert!(
+            flagged.digest.get().is_none(),
+            "different flags adopt nothing"
+        );
+        assert_eq!(forged.digest(), uncached(&forged));
+
+        let unhashed = Request::new(RequestId::new(2, 3), Bytes::from_static(b"event"));
+        let other = Request::new(RequestId::new(2, 3), Bytes::from_static(b"event"));
+        other.adopt_digest(&unhashed);
+        assert!(
+            other.digest.get().is_none(),
+            "nothing cached, nothing adopted"
+        );
+        assert_eq!(mine, unhashed, "equality ignores the cache");
     }
 
     #[test]

@@ -588,17 +588,17 @@ impl Replica {
     /// fails and it falls back to an ordered resubmission).
     pub fn on_request(&mut self, request: Request) -> Vec<Action> {
         let mut out = Vec::new();
-        if request.read_only {
+        if request.is_read_only() {
             if self.can_serve_reads() {
                 out.push(Action::ReadOnly(request));
             }
             return out;
         }
-        if self.executed.contains(&request.id) || self.requests.contains_key(&request.id) {
+        if self.executed.contains(&request.id()) || self.requests.contains_key(&request.id()) {
             return out; // duplicate submission or already executed
         }
         self.requests
-            .insert(request.id, ReqState::Pending(request.clone()));
+            .insert(request.id(), ReqState::Pending(request.clone()));
         self.outstanding += 1;
         if self.outstanding == 1 {
             out.push(Action::ViewTimer(TimerCmd::Restart));
@@ -608,12 +608,31 @@ impl Replica {
             return out;
         }
         if self.is_primary() {
-            self.queue.push_back(request.id);
+            self.queue.push_back(request.id());
             self.drain_queue(false, &mut out);
         } else {
             out.push(Action::Send(self.primary(), Msg::Forward(request)));
         }
         out
+    }
+
+    /// Lets the members of an incoming pre-prepare reuse the cached digests
+    /// of byte-identical requests this replica already holds (its own
+    /// submissions, pending or ordered), so a request is hashed once per
+    /// node rather than once more per copy off the wire. A member that
+    /// differs in any byte — a twisted or foreign payload — matches nothing
+    /// and is hashed afresh when its digest is first needed.
+    pub fn adopt_digests(&self, msg: &Msg) {
+        let Msg::PrePrepare(pp) = msg else {
+            return;
+        };
+        for r in &pp.batch.requests {
+            if let Some(ReqState::Pending(known) | ReqState::Ordered(known)) =
+                self.requests.get(&r.id())
+            {
+                r.adopt_digest(known);
+            }
+        }
     }
 
     /// Seals queued requests into batches and proposes them, while the
@@ -640,7 +659,7 @@ impl Replica {
                     // A config record always seals a slot of its own: an
                     // accumulating batch closes ahead of it, and nothing
                     // joins its slot behind it.
-                    if r.config {
+                    if r.is_config() {
                         if requests.is_empty() {
                             requests.push(r.clone());
                         } else {
@@ -673,7 +692,7 @@ impl Replica {
         let slot = self.log.slot_mut(seq);
         slot.pre_prepare = Some((self.view, digest, batch.clone()));
         for r in &batch.requests {
-            if let Some(state) = self.requests.get_mut(&r.id) {
+            if let Some(state) = self.requests.get_mut(&r.id()) {
                 *state = ReqState::Ordered(r.clone());
             }
         }
@@ -681,8 +700,8 @@ impl Replica {
             // The primary never receives its own pre-prepare, so it stamps
             // both the seal and its own acceptance here.
             for r in &batch.requests {
-                self.obs_phase(r.id, Phase::Batched);
-                self.obs_phase(r.id, Phase::PrePrepared);
+                self.obs_phase(r.id(), Phase::Batched);
+                self.obs_phase(r.id(), Phase::PrePrepared);
             }
         }
         self.obs_audit(AuditEvent::PrePrepare {
@@ -725,7 +744,7 @@ impl Replica {
             let fresh: Vec<Request> = batch
                 .requests
                 .into_iter()
-                .filter(|r| !self.executed.contains(&r.id) && self.spec_overlay.insert(r.id))
+                .filter(|r| !self.executed.contains(&r.id()) && self.spec_overlay.insert(r.id()))
                 .collect();
             if !fresh.is_empty() {
                 out.push(Action::SpeculativeExecute {
@@ -820,12 +839,12 @@ impl Replica {
         slot.pre_prepare = Some((pp.view, pp.digest, pp.batch.clone()));
         let was_idle = self.outstanding == 0;
         for r in &pp.batch.requests {
-            match self.requests.get_mut(&r.id) {
+            match self.requests.get_mut(&r.id()) {
                 Some(st @ ReqState::Pending(_)) => *st = ReqState::Ordered(r.clone()),
                 Some(_) => {}
-                None if self.executed.contains(&r.id) => {} // replayed history
+                None if self.executed.contains(&r.id()) => {} // replayed history
                 None => {
-                    self.requests.insert(r.id, ReqState::Ordered(r.clone()));
+                    self.requests.insert(r.id(), ReqState::Ordered(r.clone()));
                     self.outstanding += 1;
                 }
             }
@@ -835,7 +854,7 @@ impl Replica {
         }
         if self.cfg.obs_phases {
             for r in &pp.batch.requests {
-                self.obs_phase(r.id, Phase::PrePrepared);
+                self.obs_phase(r.id(), Phase::PrePrepared);
             }
         }
         self.obs_audit(AuditEvent::PrePrepare {
@@ -919,7 +938,7 @@ impl Replica {
                     push_obs(
                         &mut self.obs_events,
                         ObsEvent::Phase {
-                            id: r.id,
+                            id: r.id(),
                             phase: Phase::Prepared,
                         },
                     );
@@ -988,9 +1007,9 @@ impl Replica {
             // set.
             let mut fresh = Vec::new();
             for request in batch.requests {
-                let first_time = self.executed.insert(request.id);
-                self.spec_overlay.remove(&request.id);
-                if self.requests.remove(&request.id).is_some() {
+                let first_time = self.executed.insert(request.id());
+                self.spec_overlay.remove(&request.id());
+                if self.requests.remove(&request.id()).is_some() {
                     self.outstanding = self.outstanding.saturating_sub(1);
                 }
                 if first_time {
@@ -1000,7 +1019,7 @@ impl Replica {
             if !fresh.is_empty() {
                 if self.cfg.obs_phases {
                     for r in &fresh {
-                        self.obs_phase(r.id, Phase::Committed);
+                        self.obs_phase(r.id(), Phase::Committed);
                     }
                 }
                 out.push(Action::Execute {
@@ -1873,11 +1892,11 @@ impl Replica {
         self.exec_chain = h.finalize();
         let mut fresh = Vec::new();
         for request in batch.requests {
-            let first_time = self.executed.insert(request.id);
-            self.spec_overlay.remove(&request.id);
-            if self.requests.remove(&request.id).is_some() {
+            let first_time = self.executed.insert(request.id());
+            self.spec_overlay.remove(&request.id());
+            if self.requests.remove(&request.id()).is_some() {
                 self.outstanding = self.outstanding.saturating_sub(1);
-                self.queue.retain(|q| *q != request.id);
+                self.queue.retain(|q| *q != request.id());
             }
             // Unknown-but-agreed requests also deliver; `outstanding` is
             // only adjusted for entries this replica had counted.
@@ -2109,7 +2128,7 @@ impl Replica {
             slot.pre_prepare = Some((pp.view, pp.digest, pp.batch.clone()));
             slot.commit_sent = false;
             for r in &pp.batch.requests {
-                if let Some(st) = self.requests.get_mut(&r.id) {
+                if let Some(st) = self.requests.get_mut(&r.id()) {
                     if matches!(st, ReqState::Pending(_)) {
                         *st = ReqState::Ordered(r.clone());
                     }
@@ -2205,10 +2224,10 @@ impl Replica {
             })
             .collect();
         // Deterministic order: by request id.
-        pending.sort_by_key(|r| r.id);
+        pending.sort_by_key(|r| r.id());
         if self.is_primary() {
             for req in &pending {
-                self.queue.push_back(req.id);
+                self.queue.push_back(req.id());
             }
             self.drain_queue(false, out);
         } else {
@@ -2270,7 +2289,7 @@ mod tests {
                 Action::Send(dest, m) => inbox.push_back((dest.0 as usize, me, m)),
                 Action::Execute { seq, batch } => {
                     for request in batch {
-                        executed[at].push((seq, request.id));
+                        executed[at].push((seq, request.id()));
                     }
                 }
                 Action::TakeCheckpoint(seq) => {
@@ -3581,7 +3600,7 @@ mod tests {
                 let r = ro(c);
                 let a = rep.on_request(r.clone());
                 assert_eq!(a.len(), 1, "replica {i}: exactly one action: {a:?}");
-                assert!(matches!(&a[0], Action::ReadOnly(got) if got.id == r.id));
+                assert!(matches!(&a[0], Action::ReadOnly(got) if got.id() == r.id()));
             }
             assert_eq!(rep.outstanding(), 0, "replica {i}");
             assert_eq!(rep.queued(), 0, "replica {i}");

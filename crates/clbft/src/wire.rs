@@ -155,10 +155,10 @@ impl<'a> Decoder<'a> {
 }
 
 fn put_request(e: &mut Encoder, r: &Request) {
-    e.put_u64(r.id.origin);
-    e.put_u64(r.id.counter);
+    e.put_u64(r.id().origin);
+    e.put_u64(r.id().counter);
     e.put_u8(r.flags());
-    e.put_bytes(&r.payload);
+    e.put_bytes(r.payload());
 }
 
 fn get_request(d: &mut Decoder<'_>) -> Result<Request, WireError> {
@@ -173,8 +173,8 @@ fn get_request(d: &mut Decoder<'_>) -> Result<Request, WireError> {
     }
     let payload = d.bytes()?;
     let mut req = Request::new(RequestId::new(origin, counter), payload);
-    req.read_only = flags & 1 != 0;
-    req.config = flags & 2 != 0;
+    req.set_read_only(flags & 1 != 0);
+    req.set_config(flags & 2 != 0);
     Ok(req)
 }
 

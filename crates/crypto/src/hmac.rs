@@ -15,6 +15,21 @@ const BLOCK: usize = 64;
 /// assert_eq!(tag[0], 0x5b);
 /// ```
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
+    let (ipad, opad) = pads(key);
+    let mut inner = Sha256::new();
+    inner.update(&ipad);
+    inner.update(msg);
+    let inner_digest = inner.finalize();
+
+    let mut outer = Sha256::new();
+    outer.update(&opad);
+    outer.update(inner_digest.as_bytes());
+    outer.finalize().0
+}
+
+/// The key XORed into the inner and outer pad blocks. Keys longer than the
+/// 64-byte block are hashed first, per RFC 2104.
+fn pads(key: &[u8]) -> ([u8; BLOCK], [u8; BLOCK]) {
     let mut key_block = [0u8; BLOCK];
     if key.len() > BLOCK {
         key_block[..32].copy_from_slice(sha256(key).as_bytes());
@@ -27,15 +42,51 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
         ipad[i] ^= key_block[i];
         opad[i] ^= key_block[i];
     }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
+    (ipad, opad)
+}
 
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize().0
+/// The SHA-256 chaining states after absorbing a key's inner and outer pad
+/// blocks — the part of HMAC that depends on the key alone. Tagging from
+/// them skips the two pad compressions [`hmac_sha256`] spends per call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Midstates {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl Midstates {
+    /// Absorbs `key`'s pad blocks (two compressions, once per key).
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let (ipad, opad) = pads(key);
+        let absorb = |pad: &[u8; BLOCK]| {
+            let mut h = Sha256::new();
+            h.update(pad);
+            h.chaining_state()
+        };
+        Midstates {
+            inner: absorb(&ipad),
+            outer: absorb(&opad),
+        }
+    }
+
+    /// A hasher positioned just after the inner pad block.
+    fn inner(&self) -> Sha256 {
+        Sha256::after_one_block(self.inner)
+    }
+
+    /// Closes the inner hash and wraps it in the outer one.
+    fn finish(&self, inner: Sha256) -> [u8; 32] {
+        let mut outer = Sha256::after_one_block(self.outer);
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize().0
+    }
+
+    /// `HMAC-SHA-256(key, msg)` for the key these states were built from.
+    pub(crate) fn mac(&self, msg: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner();
+        inner.update(msg);
+        self.finish(inner)
+    }
 }
 
 /// Incremental HMAC-SHA-256, for MACs over multi-part messages without
@@ -43,27 +94,17 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad: [u8; BLOCK],
+    keyed: Midstates,
 }
 
 impl HmacSha256 {
     /// Starts a MAC computation under `key`.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            key_block[..32].copy_from_slice(sha256(key).as_bytes());
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
+        let keyed = Midstates::new(key);
+        HmacSha256 {
+            inner: keyed.inner(),
+            keyed,
         }
-        let mut ipad = [0x36u8; BLOCK];
-        let mut opad = [0x5cu8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] ^= key_block[i];
-            opad[i] ^= key_block[i];
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 { inner, opad }
     }
 
     /// Absorbs message bytes.
@@ -73,11 +114,7 @@ impl HmacSha256 {
 
     /// Finishes and returns the tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize().0
+        self.keyed.finish(self.inner)
     }
 }
 

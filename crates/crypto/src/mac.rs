@@ -1,16 +1,26 @@
 //! MAC key and tag newtypes.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, Midstates};
 use std::fmt;
 
 /// A 256-bit symmetric MAC key shared by exactly two principals.
+///
+/// The key carries its HMAC pad midstates, computed once when the key is
+/// built, so each [`MacKey::compute`] pays only for the message blocks and
+/// the outer wrap.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MacKey([u8; 32]);
+pub struct MacKey {
+    bytes: [u8; 32],
+    keyed: Midstates,
+}
 
 impl MacKey {
     /// Wraps raw key bytes.
-    pub const fn from_bytes(bytes: [u8; 32]) -> Self {
-        MacKey(bytes)
+    pub fn from_bytes(bytes: [u8; 32]) -> Self {
+        MacKey {
+            bytes,
+            keyed: Midstates::new(&bytes),
+        }
     }
 
     /// Derives a key from a master seed and a label, e.g. the canonical names
@@ -19,17 +29,17 @@ impl MacKey {
     /// `Connection` modules negotiate keys over SSL; the handshake itself is
     /// not part of any measured path).
     pub fn derive_from_label(master_seed: u64, label: &[u8]) -> Self {
-        MacKey(hmac_sha256(&master_seed.to_be_bytes(), label))
+        MacKey::from_bytes(hmac_sha256(&master_seed.to_be_bytes(), label))
     }
 
     /// The raw key bytes.
     pub const fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
     }
 
     /// Computes the MAC of `msg` under this key.
     pub fn compute(&self, msg: &[u8]) -> Mac {
-        Mac(hmac_sha256(&self.0, msg))
+        Mac(self.keyed.mac(msg))
     }
 
     /// Verifies `mac` over `msg`.

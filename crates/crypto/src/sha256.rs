@@ -104,6 +104,24 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that has absorbed exactly one 64-byte block, leaving the
+    /// chaining state `state` (see [`Sha256::chaining_state`]).
+    pub(crate) fn after_one_block(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffered: 0,
+            length_bits: 512,
+        }
+    }
+
+    /// The chaining state; only meaningful at a block boundary, where it
+    /// and the block count fully describe the hasher.
+    pub(crate) fn chaining_state(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffered, 0, "chaining state read mid-block");
+        self.state
+    }
+
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);

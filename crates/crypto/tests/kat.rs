@@ -161,6 +161,41 @@ fn hmac_incremental_matches_rfc4231() {
     }
 }
 
+#[test]
+fn mac_key_midstates_match_reference_hmac() {
+    // HMAC zero-pads a short key to the block, so a key of at most 32 bytes
+    // and its 32-byte zero extension are the same HMAC key; a key longer
+    // than the block is replaced by its SHA-256. Either way a `MacKey` over
+    // those 32 bytes reproduces the vector.
+    for (i, v) in rfc4231_vectors().iter().enumerate() {
+        let mut bytes = [0u8; 32];
+        if v.key.len() > 64 {
+            bytes = sha256(&v.key).0;
+        } else {
+            assert!(v.key.len() <= 32, "no RFC 4231 key falls in 33..=64 bytes");
+            bytes[..v.key.len()].copy_from_slice(&v.key);
+        }
+        let tag = MacKey::from_bytes(bytes).compute(&v.data);
+        assert_eq!(
+            *tag.as_bytes(),
+            hmac_sha256(&v.key, &v.data),
+            "RFC 4231 test case {}",
+            i + 1
+        );
+    }
+    // Every length through 200 bytes: crosses the 55/56-byte padding split
+    // and the 64-byte block edge of the inner hash several times.
+    let key = MacKey::derive_from_label(3, b"replica-0<->replica-1");
+    let msg: Vec<u8> = (0..=200u8).map(|b| b.wrapping_mul(37)).collect();
+    for len in 0..=msg.len() {
+        assert_eq!(
+            *key.compute(&msg[..len]).as_bytes(),
+            hmac_sha256(key.as_bytes(), &msg[..len]),
+            "message of {len} bytes"
+        );
+    }
+}
+
 // --- MAC / authenticator tamper detection --------------------------------
 
 #[test]

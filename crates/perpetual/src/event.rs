@@ -335,11 +335,13 @@ impl Event {
     /// payload carries the [`CONFIG_PREFIX`] marker becomes a config
     /// record — ordered in a sealed slot of its own.
     pub fn to_request(&self) -> Request {
-        let mut req = Request::new(self.request_id(), self.encode());
-        if let Event::External { payload, .. } = self {
-            req.config = strip_config_payload(payload).is_some();
+        let (id, encoded) = (self.request_id(), self.encode());
+        match self {
+            Event::External { payload, .. } if strip_config_payload(payload).is_some() => {
+                Request::config_record(id, encoded)
+            }
+            _ => Request::new(id, encoded),
         }
-        req
     }
 }
 
@@ -450,12 +452,12 @@ mod tests {
     #[test]
     fn read_request_roundtrips_caller_and_req_no() {
         let r = read_request(GroupId(7), 42, Bytes::from_static(b"q"));
-        assert!(r.read_only);
-        assert_eq!(read_request_parts(r.id), Some((GroupId(7), 42)));
+        assert!(r.is_read_only());
+        assert_eq!(read_request_parts(r.id()), Some((GroupId(7), 42)));
         // Read ids never collide with ordered-event families.
         for ev in sample_events() {
             assert_eq!(read_request_parts(ev.request_id()), None);
-            assert_ne!(ev.request_id(), r.id);
+            assert_ne!(ev.request_id(), r.id());
         }
     }
 
@@ -465,8 +467,11 @@ mod tests {
         let r1 = ev.to_request();
         let r2 = ev.to_request();
         assert_eq!(r1.digest(), r2.digest());
-        assert_eq!(r1.id, ev.request_id());
-        assert!(!r1.config, "plain payloads never become config records");
+        assert_eq!(r1.id(), ev.request_id());
+        assert!(
+            !r1.is_config(),
+            "plain payloads never become config records"
+        );
     }
 
     #[test]
@@ -487,9 +492,9 @@ mod tests {
             payload: wrapped,
         };
         let r = ev.to_request();
-        assert!(r.config, "marked payloads order as config records");
-        assert!(!r.read_only);
+        assert!(r.is_config(), "marked payloads order as config records");
+        assert!(!r.is_read_only());
         // Only External payloads are inspected.
-        assert!(!Event::Abort { call_no: 1 }.to_request().config);
+        assert!(!Event::Abort { call_no: 1 }.to_request().is_config());
     }
 }

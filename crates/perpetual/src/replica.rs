@@ -297,6 +297,10 @@ pub fn group_seed(master_seed: u64, group: GroupId) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The distinct requests proposed for one external call, each with the
+/// indices of the calling drivers that sent a byte-equal copy.
+type Proposals = Vec<(pws_clbft::Request, HashSet<u32>)>;
+
 /// A Perpetual replica node (voter + driver). Implements [`Node`].
 pub struct PerpetualReplica {
     cfg: ReplicaConfig,
@@ -305,8 +309,8 @@ pub struct PerpetualReplica {
     bft: BftReplica,
     keys: KeyTable,
     // ----- voter state -----
-    /// External-request candidates: (caller, req_no) → digest → driver idxs.
-    candidates: HashMap<(GroupId, u64), HashMap<Digest32, HashSet<u32>>>,
+    /// External-request candidates, keyed by (caller, req_no).
+    candidates: HashMap<(GroupId, u64), Proposals>,
     /// CLBFT request digests the gate lets through.
     validated: HashSet<Digest32>,
     /// (call, reply digest) pairs validated by the co-located driver.
@@ -499,6 +503,15 @@ impl PerpetualReplica {
         )
     }
 
+    /// Per-request voter state still held: (requests the CLBFT core knows
+    /// but has not executed — among them this replica's own submissions,
+    /// whose cached digests incoming pre-prepares adopt — and external
+    /// requests still collecting driver votes). For tests: both drain once
+    /// a run quiesces.
+    pub fn voter_backlog(&self) -> (usize, usize) {
+        (self.bft.outstanding(), self.candidates.len())
+    }
+
     fn my_node(&self) -> NodeId {
         self.cfg.topology.node(self.cfg.group, self.cfg.index)
     }
@@ -563,12 +576,12 @@ impl PerpetualReplica {
         }
         let victim = (self.cfg.index + 1) % self.n;
         let mut twisted = pp.batch.clone();
-        let mut bad = twisted.requests[0].payload.to_vec();
+        let mut bad = twisted.requests[0].payload().to_vec();
         match bad.first_mut() {
             Some(b) => *b ^= 0xA5,
             None => bad.push(0xA5),
         }
-        twisted.requests[0].payload = Bytes::from(bad);
+        twisted.requests[0].set_payload(Bytes::from(bad));
         let variant = Msg::PrePrepare(pws_clbft::PrePrepareMsg {
             view: pp.view,
             seq: pp.seq,
@@ -751,7 +764,7 @@ impl PerpetualReplica {
             .record_batch_with(&self.exec_group_keys, batch.len());
         ctx.spend(self.cfg.cost.batch_cost(batch.len()));
         for request in batch {
-            self.handle_ordered(request.payload, ctx);
+            self.handle_ordered(request.into_payload(), ctx);
         }
     }
 
@@ -784,7 +797,7 @@ impl PerpetualReplica {
         let matches = self.spec_queue.front().is_some_and(|e| {
             e.seq == seq
                 && e.ids.len() == batch.len()
-                && e.ids.iter().zip(&batch).all(|(id, r)| *id == r.id)
+                && e.ids.iter().zip(&batch).all(|(id, r)| *id == r.id())
         });
         if matches {
             self.finalize_speculation(batch.len(), ctx);
@@ -809,13 +822,13 @@ impl PerpetualReplica {
     ) {
         let pre_state = self.build_snapshot();
         let responder_saved = self.responder_state.clone();
-        let ids: Vec<BftRequestId> = batch.iter().map(|r| r.id).collect();
+        let ids: Vec<BftRequestId> = batch.iter().map(|r| r.id()).collect();
         // The execution work is real and happens now — that is the point of
         // speculating — so its CPU cost is charged now, not at finalize.
         ctx.spend(self.cfg.cost.batch_cost(batch.len()));
         self.spec_building = Some(SpecBuffers::default());
         for request in batch {
-            self.handle_ordered(request.payload, ctx);
+            self.handle_ordered(request.into_payload(), ctx);
         }
         let bufs = self.spec_building.take().expect("speculation mode held");
         for id in &ids {
@@ -1162,7 +1175,7 @@ impl PerpetualReplica {
     }
 
     fn request_gate_ok(&mut self, request: &pws_clbft::Request) -> bool {
-        match Event::decode(&request.payload) {
+        match Event::decode(request.payload()) {
             Ok(Event::External { .. }) => self.validated.contains(&request.digest()),
             Ok(Event::Result {
                 call_no,
@@ -1215,10 +1228,12 @@ impl PerpetualReplica {
     fn drain_gate(&mut self, ctx: &mut Context<'_>) {
         let mut i = 0;
         while i < self.gated.len() {
-            let releasable = {
-                let (_, msg) = self.gated[i].clone();
-                self.gate_ok(&msg)
-            };
+            // `gate_ok` takes `&mut self` (bundle checks use the key table)
+            // but never touches the gate, so the parked list steps aside
+            // for the check instead of cloning the message out of it.
+            let gated = std::mem::take(&mut self.gated);
+            let releasable = self.gate_ok(&gated[i].1);
+            self.gated = gated;
             if releasable {
                 let (from, msg) = self.gated.swap_remove(i);
                 let actions = self.bft.on_message(from, msg);
@@ -1229,13 +1244,12 @@ impl PerpetualReplica {
         }
     }
 
-    fn submit_event(&mut self, ev: &Event, ctx: &mut Context<'_>) {
-        let req = ev.to_request();
-        if crate::event::is_traced_origin(req.id.origin) {
+    fn submit_request(&mut self, req: pws_clbft::Request, ctx: &mut Context<'_>) {
+        if crate::event::is_traced_origin(req.id().origin) {
             ctx.obs_phase(
                 self.cfg.group.0,
-                req.id.origin,
-                req.id.counter,
+                req.id().origin,
+                req.id().counter,
                 Phase::Queued,
             );
         }
@@ -1274,18 +1288,24 @@ impl PerpetualReplica {
         };
         let key = (caller, req_no);
         let req = ev.to_request();
-        let digest = req.digest();
-        let voters = self
-            .candidates
-            .entry(key)
-            .or_default()
-            .entry(digest)
-            .or_default();
+        let proposals = self.candidates.entry(key).or_default();
+        let at = match proposals.iter().position(|(r, _)| *r == req) {
+            Some(at) => at,
+            None => {
+                proposals.push((req, HashSet::new()));
+                proposals.len() - 1
+            }
+        };
+        let (winner, voters) = &mut proposals[at];
         voters.insert(driver_idx as u32);
         let threshold = self.cfg.topology.f(caller) as usize + 1;
         if voters.len() < threshold {
             return;
         }
+        // Hash the winning copy where it is stored, so this clone and every
+        // later matching copy reuse the digest.
+        let digest = winner.digest();
+        let winner = winner.clone();
         if self
             .delivered_external
             .contains(&delivered_key(caller, target_seq))
@@ -1313,7 +1333,7 @@ impl PerpetualReplica {
         }
         if !self.validated.contains(&digest) {
             ctx.metrics().incr("perpetual.external_requests_validated");
-            self.submit_event(&ev, ctx);
+            self.submit_request(winner, ctx);
         }
     }
 
@@ -1371,6 +1391,7 @@ impl PerpetualReplica {
             return;
         };
         let from = ReplicaId(idx as u32);
+        self.bft.adopt_digests(&msg);
         if !self.gate_ok(&msg) {
             ctx.metrics().incr("perpetual.proposals_gated");
             self.gated.push((from, msg));
@@ -1427,7 +1448,7 @@ impl PerpetualReplica {
     /// operation was not actually read-only, and the request is dropped —
     /// the caller's quorum fails and it falls back to the ordered path.
     fn serve_read(&mut self, from: NodeId, req: pws_clbft::Request, ctx: &mut Context<'_>) {
-        let Some((caller, req_no)) = crate::event::read_request_parts(req.id) else {
+        let Some((caller, req_no)) = crate::event::read_request_parts(req.id()) else {
             return;
         };
         if !self.spec_queue.is_empty() {
@@ -1438,14 +1459,14 @@ impl PerpetualReplica {
             ctx.obs_flight(FlightKind::RoRefused, 0, 0);
             return;
         }
-        let rid = req.id;
+        let rid = req.id();
         let scratch = self.executor.snapshot();
         let handle = RequestHandle { caller, req_no };
         let mut out = AppOutput::new(self.next_call, self.next_token);
         self.executor.on_event(
             AppEvent::Request {
                 handle,
-                payload: req.payload,
+                payload: req.into_payload(),
             },
             &mut out,
         );
@@ -1581,7 +1602,7 @@ impl PerpetualReplica {
             .entry(req_no)
             .or_default()
             .push(ev.request_id());
-        self.submit_event(&ev, ctx);
+        self.submit_request(ev.to_request(), ctx);
     }
 
     // ------------------------------------------------------------ responder
@@ -1702,7 +1723,7 @@ impl PerpetualReplica {
             .entry(req_no)
             .or_default()
             .push(ev.request_id());
-        self.submit_event(&ev, ctx);
+        self.submit_request(ev.to_request(), ctx);
     }
 
     fn handle_ordered(&mut self, payload: Bytes, ctx: &mut Context<'_>) {

@@ -436,6 +436,33 @@ fn runs_are_bit_reproducible() {
 }
 
 #[test]
+fn voter_state_drains_once_a_run_quiesces() {
+    let mut d = build(
+        5,
+        vec![
+            (
+                4,
+                Box::new(|_| Box::new(Caller::new(GroupId(1), 40)) as Box<dyn Executor>),
+                correct(4),
+            ),
+            (
+                4,
+                Box::new(|_| Box::new(Echo::new(b"ok:")) as Box<dyn Executor>),
+                correct(4),
+            ),
+        ],
+    );
+    d.sim.run_until(SimTime::from_secs(30));
+    assert_eq!(caller_state(&mut d, 0, 0).replies.len(), 40);
+    for (group, nodes) in d.groups.clone() {
+        for node in nodes {
+            let r = d.sim.node_mut::<PerpetualReplica>(node).unwrap();
+            assert_eq!(r.voter_backlog(), (0, 0), "{group:?} {node:?}");
+        }
+    }
+}
+
+#[test]
 fn nested_tiers_compose() {
     // Three tiers: caller(4) -> middle(4) -> backend(1). The middle tier's
     // executor forwards each request to the backend and replies with the

@@ -129,7 +129,14 @@ impl Metrics {
 
     /// Adds `v` to the counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        // Allocate the key only on first insert; every later bump is a
+        // lookup.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.

@@ -298,41 +298,43 @@ impl Simulation {
             if self.event_budget == 0 {
                 return RunOutcome::BudgetExhausted;
             }
-            match self.state.queue.peek_time() {
+            let (at, to) = match self.state.queue.peek() {
                 None => {
                     if deadline != SimTime::MAX {
                         self.state.now = deadline;
                     }
                     return RunOutcome::Quiescent;
                 }
-                Some(t) if t > deadline => {
+                Some((t, _)) if t > deadline => {
                     self.state.now = deadline;
                     return RunOutcome::DeadlineReached;
                 }
-                Some(_) => {}
-            }
-            let ev = self.state.queue.pop().expect("peeked nonempty");
+                Some(next) => next,
+            };
             self.event_budget -= 1;
-            let to = ev.to;
             let idx = to.0 as usize;
 
             // Messages to unregistered nodes vanish (e.g. replies to a
             // synthetic sender used by `inject`), as do messages to crashed
             // nodes.
             if idx >= self.nodes.len() || self.state.net.is_crashed(to) {
+                self.state.queue.pop();
                 continue;
             }
 
-            // Serial-server CPU model: if the node is still busy, defer.
+            // Serial-server CPU model: if the node is still busy, defer. The
+            // event is re-keyed where it sits; its key is the one a pop and
+            // re-push would give it, so the event order is unchanged.
             let busy = self.busy_until[idx];
-            if busy > ev.at {
-                self.state.queue.push(busy, to, ev.kind);
+            if busy > at {
+                self.state.queue.defer_top(busy);
                 continue;
             }
-            self.state.now = ev.at;
+            let kind = self.state.queue.pop().expect("peeked nonempty");
+            self.state.now = at;
 
             // Dropped cancelled timers.
-            if let EventKind::Timer { id } = ev.kind {
+            if let EventKind::Timer { id } = kind {
                 if self.state.cancelled.remove(&id) {
                     continue;
                 }
@@ -349,19 +351,18 @@ impl Simulation {
             };
             // A panicking handler surfaces as a simulation failure (never a
             // hang): the node is dropped and the run poisoned.
-            let dispatch =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match ev.kind {
-                    EventKind::Start => node.on_start(&mut ctx),
-                    EventKind::Deliver { from, msg } => {
-                        ctx.state.trace.record_delivery(ev.at, from, to, &msg);
-                        ctx.state.metrics.incr("net.messages_delivered");
-                        node.on_message(from, msg, &mut ctx);
-                    }
-                    EventKind::Timer { id } => {
-                        ctx.state.trace.record_timer(ev.at, to, id);
-                        node.on_timer(TimerId(id), &mut ctx);
-                    }
-                }));
+            let dispatch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match kind {
+                EventKind::Start => node.on_start(&mut ctx),
+                EventKind::Deliver { from, msg } => {
+                    ctx.state.trace.record_delivery(at, from, to, &msg);
+                    ctx.state.metrics.incr("net.messages_delivered");
+                    node.on_message(from, msg, &mut ctx);
+                }
+                EventKind::Timer { id } => {
+                    ctx.state.trace.record_timer(at, to, id);
+                    node.on_timer(TimerId(id), &mut ctx);
+                }
+            }));
             let spent = ctx.elapsed;
             if let Err(payload) = dispatch {
                 let msg = payload
@@ -373,7 +374,7 @@ impl Simulation {
                             // Black-box moment: record the panic in the node's flight
                             // ring and capture its dump so the post-mortem has the
                             // replica's last protocol events alongside the payload.
-                let at_us = (ev.at + spent).as_micros();
+                let at_us = (at + spent).as_micros();
                 self.state
                     .obs
                     .flight(to.0 as u64, at_us, FlightKind::NodePanic, 0, 0);
@@ -386,7 +387,7 @@ impl Simulation {
             self.nodes[idx] = Some(node);
             if spent > SimDuration::ZERO {
                 self.state.metrics.add("cpu.busy_us", spent.as_micros());
-                self.busy_until[idx] = ev.at + spent;
+                self.busy_until[idx] = at + spent;
             }
         }
     }
