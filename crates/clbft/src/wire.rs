@@ -12,7 +12,7 @@ use crate::messages::{
 };
 use crate::pages::{PageManifest, MAX_WIRE_PAGES, MAX_WIRE_PAGE_RESPONSE};
 use crate::{ReplicaId, Seq, View};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pws_crypto::sha256::Digest32;
 use std::fmt;
 
@@ -82,7 +82,7 @@ impl Encoder {
 
     /// Finishes, returning the encoded bytes.
     pub fn finish(self) -> Bytes {
-        BytesMut::from(&self.buf[..]).freeze()
+        Bytes::from(self.buf)
     }
 }
 

@@ -39,7 +39,6 @@ struct Pending {
     /// A read-only call holds `0` until (and unless) it falls back to the
     /// ordered path, which assigns the sequence lazily.
     target_seq: u64,
-    done: bool,
     /// Still on the read-only fast path. Cleared when the call falls back.
     read_only: bool,
     payload: Bytes,
@@ -66,6 +65,8 @@ pub struct ClientCore {
     /// Dense per-target sequence counters (the dedup key space; a sharded
     /// target's shards each see a contiguous stream).
     next_target_seq: HashMap<GroupId, u64>,
+    /// Calls still awaiting a reply; an entry leaves on completion or
+    /// abandonment, so a late reply finds nothing and is ignored.
     pending: HashMap<u64, Pending>,
     /// Read-reply tallies for outstanding fast-path reads.
     read_tallies: HashMap<u64, ReadTally>,
@@ -107,7 +108,7 @@ impl ClientCore {
 
     /// Number of calls still awaiting replies.
     pub fn outstanding(&self) -> usize {
-        self.pending.values().filter(|p| !p.done).count()
+        self.pending.len()
     }
 
     /// Issues an asynchronous call to `target`; the reply arrives later via
@@ -123,7 +124,6 @@ impl ClientCore {
             Pending {
                 target,
                 target_seq,
-                done: false,
                 read_only: false,
                 payload: payload.clone(),
                 retries: 0,
@@ -170,7 +170,6 @@ impl ClientCore {
             Pending {
                 target,
                 target_seq: 0,
-                done: false,
                 read_only: true,
                 payload: payload.clone(),
                 retries: 0,
@@ -191,9 +190,6 @@ impl ClientCore {
         let Some(p) = self.pending.get_mut(&call.0) else {
             return;
         };
-        if p.done {
-            return;
-        }
         if p.read_only {
             // Quorum failure (slow replicas, view change, or > f lying
             // responders): demote to the ordered path. The per-target
@@ -268,9 +264,8 @@ impl ClientCore {
     /// Abandons a call locally (e.g. after a client-side timeout); later
     /// replies for it are ignored.
     pub fn abandon(&mut self, call: CallId) {
-        if let Some(p) = self.pending.get_mut(&call.0) {
-            p.done = true;
-        }
+        self.pending.remove(&call.0);
+        self.read_tallies.remove(&call.0);
     }
 
     /// Processes an incoming message; returns the validated reply if this
@@ -294,10 +289,7 @@ impl ClientCore {
         else {
             return None;
         };
-        let p = self.pending.get_mut(&req_no)?;
-        if p.done {
-            return None;
-        }
+        let p = self.pending.get(&req_no)?;
         let target_f = self.topology.f(p.target) as usize;
         if shares.iter().any(|s| s.from.group != p.target.0) {
             return None;
@@ -310,7 +302,7 @@ impl ClientCore {
             ctx.metrics().incr("client.bundles_rejected");
             return None;
         }
-        p.done = true;
+        self.pending.remove(&req_no);
         ctx.metrics().incr("client.calls_completed");
         Some(ClientEvent::Reply {
             call: CallId(req_no),
@@ -330,7 +322,7 @@ impl ClientCore {
         ctx: &mut Context<'_>,
     ) -> Option<ClientEvent> {
         let p = self.pending.get(&req_no)?;
-        if p.done || !p.read_only {
+        if !p.read_only {
             return None;
         }
         let target = p.target;
@@ -374,7 +366,7 @@ impl ClientCore {
             .find(|(d, _)| *d == share.reply_digest)
             .expect("quorum digest present")
             .1;
-        self.pending.get_mut(&req_no).expect("pending read").done = true;
+        self.pending.remove(&req_no);
         ctx.metrics().incr("client.calls_completed");
         ctx.metrics().incr("clbft.ro.accepted");
         Some(ClientEvent::Reply {
@@ -420,7 +412,6 @@ mod tests {
             Pending {
                 target: GroupId(0),
                 target_seq: 0,
-                done: false,
                 read_only: false,
                 payload: Bytes::new(),
                 retries: 0,

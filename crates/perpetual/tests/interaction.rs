@@ -398,6 +398,80 @@ fn unreplicated_client_core_calls_replicated_target() {
 }
 
 #[test]
+fn client_core_forgets_finished_calls() {
+    /// Fires `want` ordered calls, then `want` fast-path reads, then one
+    /// ordered call that it abandons at once. Keeps every message it
+    /// receives so the test can replay them late.
+    struct ClientNode {
+        core: ClientCore,
+        target: GroupId,
+        want: usize,
+        replies: usize,
+        received: Vec<(NodeId, Bytes)>,
+    }
+    impl Node for ClientNode {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..self.want {
+                self.core.call(ctx, self.target, Bytes::from_static(b"w"));
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut Context<'_>) {
+            self.received.push((from, msg.clone()));
+            if self.core.on_message(&msg, ctx).is_none() {
+                return;
+            }
+            self.replies += 1;
+            if self.replies == self.want {
+                for _ in 0..self.want {
+                    self.core
+                        .call_read_only(ctx, self.target, Bytes::from_static(b"r"));
+                }
+            } else if self.replies == 2 * self.want {
+                let call = self.core.call(ctx, self.target, Bytes::from_static(b"a"));
+                self.core.abandon(call);
+            }
+        }
+    }
+
+    let seed = 31;
+    let mut sim = Simulation::new(seed);
+    let mut topo = Topology::new();
+    topo.register(GroupId(0), (0..4).map(NodeId::from_raw).collect());
+    topo.register(GroupId(1), vec![NodeId::from_raw(4)]);
+    let topo = Arc::new(topo);
+    for idx in 0..4 {
+        let mut cfg = ReplicaConfig::new(GroupId(0), idx, topo.clone(), seed);
+        cfg.cost = CostModel::FREE;
+        sim.add_node(Box::new(PerpetualReplica::new(
+            cfg,
+            Box::new(Echo::new(b"pong:")),
+        )));
+    }
+    let client = sim.add_node(Box::new(ClientNode {
+        core: ClientCore::new(GroupId(1), topo, seed, CostModel::FREE),
+        target: GroupId(0),
+        want: 8,
+        replies: 0,
+        received: Vec::new(),
+    }));
+    sim.run_until(SimTime::from_secs(30));
+    let c = sim.node_mut::<ClientNode>(client).unwrap();
+    assert_eq!(c.replies, 16, "the abandoned call never completes");
+    assert_eq!(c.core.outstanding(), 0, "no finished call is kept");
+    // Every reply and read reply, delivered again after its call finished,
+    // is ignored.
+    let late = std::mem::take(&mut c.received);
+    assert!(late.len() > 16);
+    for (from, msg) in late {
+        sim.inject(from, client, msg);
+    }
+    sim.run_until(SimTime::from_secs(31));
+    let c = sim.node_mut::<ClientNode>(client).unwrap();
+    assert_eq!(c.replies, 16);
+    assert_eq!(c.core.outstanding(), 0);
+}
+
+#[test]
 fn runs_are_bit_reproducible() {
     let run = |seed: u64| {
         let mut d = build(

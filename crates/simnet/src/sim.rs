@@ -322,12 +322,16 @@ impl Simulation {
                 continue;
             }
 
-            // Serial-server CPU model: if the node is still busy, defer. The
-            // event is re-keyed where it sits; its key is the one a pop and
-            // re-push would give it, so the event order is unchanged.
+            // Serial-server CPU model: if the node is still busy, defer its
+            // events at this instant to when it is free. Deferring them one
+            // per iteration would run no handler and change no flag in
+            // between, and every check above would repeat with the same
+            // answer, so the node's whole run moves in one splice. Each
+            // moved event still costs one unit of the budget.
             let busy = self.busy_until[idx];
             if busy > at {
-                self.state.queue.defer_top(busy);
+                let moved = self.state.queue.defer_front(busy, self.event_budget + 1);
+                self.event_budget -= moved - 1;
                 continue;
             }
             let kind = self.state.queue.pop().expect("peeked nonempty");
@@ -562,6 +566,56 @@ mod tests {
         sim.add_node(Box::new(PingPong { peer: Some(a) }));
         sim.set_event_budget(1000);
         assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
+    }
+
+    /// Three blasters flood one slow worker, so the worker's backlog is
+    /// deferred in long runs. Returns the simulation with the event budget
+    /// set to `budget`.
+    fn saturated(budget: u64) -> Simulation {
+        let mut sim = Simulation::new(9);
+        let w = sim.add_node(Box::new(Worker {
+            received: 0,
+            cost: SimDuration::from_millis(1),
+        }));
+        for _ in 0..3 {
+            sim.add_node(Box::new(Blaster {
+                peer: w,
+                count: 8,
+                replies: Vec::new(),
+            }));
+        }
+        sim.set_event_budget(budget);
+        sim
+    }
+
+    #[test]
+    fn spliced_deferral_spends_the_budget_one_event_at_a_time() {
+        // With a budget of 1 per call, every deferral moves exactly one
+        // event: the one-at-a-time schedule. Record the trace after each
+        // unit of budget.
+        let mut stepped = saturated(1);
+        let mut after = vec![stepped.trace_digest()];
+        while stepped.run() == RunOutcome::BudgetExhausted {
+            after.push(stepped.trace_digest());
+            stepped.set_event_budget(1);
+        }
+        let done = stepped.trace_digest();
+        assert!(after.len() > 100, "the worker's backlog is deferred");
+        // Any larger budget runs out at the same event, and the rest of the
+        // run delivers in the same order.
+        for budget in [1, 2, 3, 5, 8, 13, 40, 99, after.len() as u64 - 2] {
+            let mut sim = saturated(budget);
+            assert_eq!(sim.run(), RunOutcome::BudgetExhausted, "budget {budget}");
+            assert_eq!(
+                sim.trace_digest(),
+                after[budget as usize],
+                "budget {budget}"
+            );
+            sim.set_event_budget(u64::MAX);
+            assert_eq!(sim.run(), RunOutcome::Quiescent);
+            assert_eq!(sim.trace_digest(), done, "budget {budget}");
+        }
+        assert_eq!(saturated(u64::MAX).run(), RunOutcome::Quiescent);
     }
 
     #[test]

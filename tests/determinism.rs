@@ -105,6 +105,45 @@ fn quickstart_topology_matches_golden_digest() {
     );
 }
 
+/// Pinned master seed ⇒ pinned trace digest for a *saturated* topology:
+/// sixteen windowed clients keep one counter group of 4 replicas busy, so
+/// many messages reach a replica while it is still working and wait for it
+/// in the simulator's event queue, often several at the same instant. This
+/// pins the order in which the simulator hands out events that wait behind
+/// a busy node or tie on delivery time; the quickstart topology above, with
+/// one synchronous client, queues far less.
+const SATURATED_SEED: u64 = 7;
+const SATURATED_CLIENTS: usize = 16;
+const SATURATED_CALLS: u64 = 6;
+const SATURATED_GOLDEN_DIGEST: u64 = 0x5e09_a3a2_84d9_d231;
+
+#[test]
+fn saturated_topology_matches_golden_digest() {
+    let mut b = SystemBuilder::new(SATURATED_SEED);
+    b.passive_service("counter", 4, |_| Box::new(Counter(0)));
+    for i in 0..SATURATED_CLIENTS {
+        b.scripted_client_windowed(&format!("client{i}"), "counter", SATURATED_CALLS, 3);
+    }
+    let mut sys = b.build();
+    sys.run_until(SimTime::from_secs(30));
+    for i in 0..SATURATED_CLIENTS {
+        assert_eq!(
+            sys.client_replies(&format!("client{i}")).len() as u64,
+            SATURATED_CALLS,
+            "client {i} completes"
+        );
+    }
+    let digest = sys.sim_mut().trace_digest();
+    assert_eq!(
+        digest.value(),
+        SATURATED_GOLDEN_DIGEST,
+        "trace digest drifted from the pinned golden value \
+         (got {:#018x} over {} events)",
+        digest.value(),
+        digest.events(),
+    );
+}
+
 #[test]
 fn full_stack_different_seeds_diverge_in_trace() {
     // Replies are deterministic in value (the protocol masks randomness),
