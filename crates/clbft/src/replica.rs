@@ -332,7 +332,9 @@ pub struct Replica {
     /// then the replica's state may be a bare checkpoint behind the
     /// group's frontier and must not answer read-only requests.
     recovering: bool,
-    view_changes: BTreeMap<View, HashMap<ReplicaId, ViewChangeMsg>>,
+    /// View-change votes by target view, then by voter. Ordered by voter
+    /// so a `NewView` lists its quorum in the same order on every run.
+    view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChangeMsg>>,
     new_view_sent: HashSet<u64>,
     /// Pre-prepares/prepares for views we have not entered yet (e.g. a new
     /// primary's first proposals racing ahead of its NewView on the wire).

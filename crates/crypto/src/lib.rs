@@ -8,7 +8,7 @@
 //! replica groups (§3, "Cryptographic overhead"). This crate provides:
 //!
 //! * [`sha256`](mod@sha256) — a from-scratch FIPS 180-4 SHA-256
-//!   implementation.
+//!   implementation, on the x86 SHA extensions when the CPU has them.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), tested against RFC 4231 vectors.
 //! * [`mac`] — [`MacKey`]/[`Mac`] newtypes with constant-shape verification.
 //! * [`keys`] — pairwise session-key tables between principals, as the
@@ -36,7 +36,10 @@
 //! assert_eq!(raw, *mac.as_bytes());
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SHA-256 dispatcher holds the workspace's one
+// `unsafe` block, the call into the hardware kernel once the CPU has been
+// probed (see `sha256::compress_blocks`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;

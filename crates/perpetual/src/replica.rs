@@ -1065,8 +1065,10 @@ impl PerpetualReplica {
         self.executor.restore(&snap.executor);
         // Timer fixups: resolved calls need no timers; unresolved restored
         // calls need a retry timer so responder rotation keeps masking
-        // faulty responders after recovery.
-        let call_nos: Vec<u64> = self.calls.keys().copied().collect();
+        // faulty responders after recovery. Armed in call order, so each
+        // timer id maps to the same call on every run.
+        let mut call_nos: Vec<u64> = self.calls.keys().copied().collect();
+        call_nos.sort_unstable();
         for call_no in call_nos {
             let done = self.calls[&call_no].done;
             if done {

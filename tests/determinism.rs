@@ -3,7 +3,10 @@
 //! replies — CLBFT agreement, Perpetual interaction, SOAP marshalling and
 //! the simulator all included.
 
-use perpetual_ws::{PassiveService, PassiveUtils, SystemBuilder};
+use perpetual_ws::{
+    FaultMode, PassiveService, PassiveUtils, Poll, Service, ServiceCtx, SystemBuilder, WaitSet,
+    WsEvent,
+};
 use pws_simnet::SimTime;
 use pws_soap::{MessageContext, XmlNode};
 
@@ -151,4 +154,107 @@ fn full_stack_different_seeds_diverge_in_trace() {
     let a = run_stack(2008);
     let b = run_stack(2009);
     assert_ne!(a.trace_hash, b.trace_hash);
+}
+
+struct Echo;
+impl PassiveService for Echo {
+    fn handle(&mut self, req: MessageContext, _u: &mut PassiveUtils) -> MessageContext {
+        req.reply_with("", XmlNode::new("ok").with_text(req.body().text.clone()))
+    }
+}
+
+/// The crash-primary topology of `tests/resilience.rs`: replica 0 of one
+/// 4-replica group is down from the start, so the group must view-change
+/// before it serves anything. Returns the trace digest.
+fn crashed_primary_digest() -> u64 {
+    let mut b = SystemBuilder::new(61);
+    b.passive_service("svc", 4, |_| Box::new(Echo));
+    b.scripted_client("user", "svc", 4);
+    let mut sys = b.build();
+    // Service groups are registered before clients: replica 0 of the first
+    // service is simnet node 0.
+    sys.sim_mut()
+        .net_mut()
+        .crash(pws_simnet::NodeId::from_raw(0));
+    sys.run_until(SimTime::from_secs(120));
+    assert_eq!(sys.client_replies("user").len(), 4, "workload completes");
+    assert!(sys.metrics().counter("perpetual.view_changes") > 0);
+    sys.sim_mut().trace_digest().value()
+}
+
+const CRASHED_PRIMARY_GOLDEN_DIGEST: u64 = 0x20c0_f15e_8237_c216;
+
+/// A view change must be as reproducible as the fault-free path: the new
+/// primary's `NewView` lists its quorum's votes, and that list's order
+/// reaches the wire bytes, so it must not depend on hash-map iteration
+/// order. Repeating the run in one process gives each run fresh
+/// hash-map seeds, which exposes any such dependence.
+#[test]
+fn crashed_primary_view_change_reproduces_exactly() {
+    let digests: Vec<u64> = (0..8).map(|_| crashed_primary_digest()).collect();
+    assert!(
+        digests.iter().all(|d| *d == digests[0]),
+        "same seed, different traces: {digests:#018x?}"
+    );
+    assert_eq!(
+        digests[0], CRASHED_PRIMARY_GOLDEN_DIGEST,
+        "trace digest drifted from the pinned golden value (got {:#018x})",
+        digests[0],
+    );
+}
+
+/// A front tier that answers each request at once and fans it out to the
+/// backend as three fire-and-forget calls, so most checkpoints capture
+/// several unresolved outgoing calls.
+struct FanOut;
+impl Service for FanOut {
+    fn on_event(&mut self, ev: WsEvent, ctx: &mut ServiceCtx<'_>) -> Poll {
+        if let WsEvent::Request { request } = ev {
+            for _ in 0..3 {
+                let mut call = MessageContext::request("urn:svc:backend", "echo");
+                call.body_mut().text = request.body().text.clone();
+                ctx.send(call);
+            }
+            let reply = request.reply_with("", XmlNode::new("ok"));
+            ctx.reply(reply, &request);
+        }
+        Poll::Wait(WaitSet::new().requests().any_reply())
+    }
+}
+
+/// Replica 3 of the front tier drops to a blank state mid-run and rejoins
+/// by state transfer, which re-arms a retry timer for every unresolved
+/// call in the installed snapshot. Returns the trace digest.
+fn wiped_front_tier_digest() -> u64 {
+    let mut b = SystemBuilder::new(2_024);
+    b.checkpoint_interval(8);
+    b.max_batch_size(1);
+    b.service("front", 4, |_| Box::new(FanOut));
+    b.passive_service("backend", 4, |_| Box::new(Echo));
+    b.fault("front", 3, FaultMode::StaleDrop { after_ms: 150 });
+    b.scripted_client_windowed("user", "front", 40, 2);
+    let mut sys = b.build();
+    sys.run_until(SimTime::from_secs(120));
+    assert_eq!(sys.client_replies("user").len(), 40, "workload completes");
+    assert!(sys.metrics().counter("clbft.recovery.installs") >= 1);
+    sys.sim_mut().trace_digest().value()
+}
+
+const WIPED_FRONT_TIER_GOLDEN_DIGEST: u64 = 0x9706_035c_6237_ab17;
+
+/// State transfer must be as reproducible as the fault-free path: the
+/// order in which a recovered replica re-arms its retry timers must not
+/// depend on hash-map iteration order.
+#[test]
+fn wipe_and_recover_reproduces_exactly() {
+    let digests: Vec<u64> = (0..6).map(|_| wiped_front_tier_digest()).collect();
+    assert!(
+        digests.iter().all(|d| *d == digests[0]),
+        "same seed, different traces: {digests:#018x?}"
+    );
+    assert_eq!(
+        digests[0], WIPED_FRONT_TIER_GOLDEN_DIGEST,
+        "trace digest drifted from the pinned golden value (got {:#018x})",
+        digests[0],
+    );
 }
